@@ -13,7 +13,7 @@ COMMIT  ?= $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 DATE    ?= $(shell date -u +%Y-%m-%dT%H:%M:%SZ 2>/dev/null || echo unknown)
 LDFLAGS  = -ldflags "-X repro/internal/buildinfo.Version=$(VERSION) -X repro/internal/buildinfo.Commit=$(COMMIT) -X repro/internal/buildinfo.Date=$(DATE)"
 
-.PHONY: build test vet race bench bench-json hotpath pipeline coldpath coldsmoke allocbudget openloop opensmoke ingress pgsmoke driversmoke shadowsmoke saturate satsmoke clusterbench clustersmoke clusterkill fmtcheck fuzz fuzzwal fuzzwire killrecover staticcheck ci
+.PHONY: build test vet race bench bench-json hotpath pipeline coldpath coldsmoke allocbudget openloop opensmoke ingress pgsmoke driversmoke shadowsmoke saturate satsmoke clusterbench clustersmoke clusterkill fmtcheck fuzz fuzzwal fuzzwire fuzzpg killrecover staticcheck ci
 
 build:
 	$(GO) build $(LDFLAGS) ./...
@@ -159,6 +159,12 @@ fuzzwal:
 fuzzwire:
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s ./internal/proxy
 
+# Ten-second fuzz smoke of the Postgres wire ingress: arbitrary
+# post-startup message streams must never panic or hang the serve
+# loop, and whatever it answers must be well-framed.
+fuzzpg:
+	$(GO) test -fuzz=FuzzPgwireStream -fuzztime=10s ./internal/pgwire
+
 # Kill-and-recover integration test: run a WAL-backed proxy, SIGKILL
 # it mid-workload, restart, and assert decision parity with an
 # uncrashed control run.
@@ -173,4 +179,4 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping"; fi
 
-ci: fmtcheck vet test race coldsmoke allocbudget opensmoke satsmoke pgsmoke driversmoke shadowsmoke clustersmoke clusterkill fuzz fuzzwal fuzzwire killrecover staticcheck
+ci: fmtcheck vet test race coldsmoke allocbudget opensmoke satsmoke pgsmoke driversmoke shadowsmoke clustersmoke clusterkill fuzz fuzzwal fuzzwire fuzzpg killrecover staticcheck

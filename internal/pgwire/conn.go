@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/acerr"
 	"repro/internal/proxy"
@@ -63,8 +64,21 @@ type conn struct {
 	stmts   map[string]*prepared
 	portals map[string]*portal
 
-	cancelMu  sync.Mutex
-	cancelCur context.CancelFunc
+	// closing is set by protoError: the serve loop drops the
+	// connection after the current message.
+	closing bool
+
+	// stmtCtx is the connection's statement context, shared by every
+	// statement it runs; a CancelRequest cancels it only while a
+	// statement runs (running), and the next statement replaces a
+	// context a cancel consumed. It is cancelled when the connection
+	// ends. stmtCtx and stmtCancel change only on the serve goroutine,
+	// under cancelMu.
+	base       context.Context
+	cancelMu   sync.Mutex
+	stmtCtx    context.Context
+	stmtCancel context.CancelFunc
+	running    atomic.Bool
 }
 
 // netConn is the subset of net.Conn the handler uses (test seam).
@@ -74,40 +88,54 @@ type netConn interface {
 	Close() error
 }
 
+// cancelCurrent services a CancelRequest: it aborts the running
+// statement, and is a no-op while the connection is idle.
 func (c *conn) cancelCurrent() {
 	c.cancelMu.Lock()
-	cancel := c.cancelCur
-	c.cancelMu.Unlock()
-	if cancel != nil {
-		cancel()
+	if c.running.Load() {
+		c.stmtCancel()
 	}
+	c.cancelMu.Unlock()
 }
 
-// statementCtx derives the per-statement context and registers its
-// cancel func for CancelRequest routing.
-func (c *conn) statementCtx(base context.Context) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(base)
+// beginStatement marks a statement running and returns its context,
+// first replacing the context if a cancel consumed it. endStatement
+// must follow. Taking cancelMu here orders the two against
+// cancelCurrent: a cancel either lands before (and is replaced) or
+// aborts this statement, never the one after it.
+func (c *conn) beginStatement() context.Context {
 	c.cancelMu.Lock()
-	c.cancelCur = cancel
-	c.cancelMu.Unlock()
-	return ctx, func() {
-		c.cancelMu.Lock()
-		c.cancelCur = nil
-		c.cancelMu.Unlock()
-		cancel()
+	if c.stmtCtx.Err() != nil {
+		c.stmtCtx, c.stmtCancel = context.WithCancel(c.base)
 	}
+	c.running.Store(true)
+	c.cancelMu.Unlock()
+	return c.stmtCtx
 }
+
+func (c *conn) endStatement() { c.running.Store(false) }
 
 func (c *conn) serve(base context.Context) {
-	c.r = bufio.NewReader(c.netc)
 	c.w = bufio.NewWriter(c.netc)
+	// Responses stay buffered until the reader has handled every
+	// message already received and is about to block: a pipelined
+	// batch of K Bind/Execute/Sync answers leaves in one write, and
+	// a lone request's answer still reaches the wire before the
+	// server waits for the client.
+	c.r = bufio.NewReader(proxy.FlushConn{Conn: c.netc, Flush: c.w.Flush})
 	c.tx = 'I'
 	c.stmts = make(map[string]*prepared)
 	c.portals = make(map[string]*portal)
+	c.base = base
+	c.stmtCtx, c.stmtCancel = context.WithCancel(base)
+	defer func() { c.stmtCancel() }()
 
 	if !c.startup(base) {
 		return
 	}
+	// Best effort on the way out: answers to messages handled before a
+	// Terminate or a malformed frame still reach a client that reads.
+	defer func() { _ = c.w.Flush() }()
 
 	skipTillSync := false
 	for {
@@ -129,7 +157,7 @@ func (c *conn) serve(base context.Context) {
 				c.protoError(perr.Error())
 				return
 			}
-			c.simpleQuery(base, sql)
+			c.simpleQuery(sql)
 		case 'P':
 			ok = c.handleParse(&p)
 		case 'B':
@@ -137,15 +165,12 @@ func (c *conn) serve(base context.Context) {
 		case 'D':
 			ok = c.handleDescribe(&p)
 		case 'E':
-			ok = c.handleExecute(base, &p)
+			ok = c.handleExecute(&p)
 		case 'C':
 			ok = c.handleClose(&p)
 		case 'S':
 			skipTillSync = false
 			_ = writeReadyForQuery(c.w, &c.m, c.tx)
-			if c.w.Flush() != nil {
-				return
-			}
 			continue
 		case 'H':
 			if c.w.Flush() != nil {
@@ -162,18 +187,19 @@ func (c *conn) serve(base context.Context) {
 			c.protoError("unexpected message type " + strconv.QuoteRune(rune(typ)))
 			return
 		}
+		if c.closing {
+			return
+		}
 		if !ok {
 			skipTillSync = true
-		}
-		if c.w.Flush() != nil {
-			return
 		}
 	}
 }
 
-// protoError reports an unrecoverable protocol violation; the caller
-// closes the connection.
+// protoError reports an unrecoverable protocol violation and marks the
+// connection for closing after the current message.
 func (c *conn) protoError(msg string) {
+	c.closing = true
 	_ = writeErrorResponse(c.w, &c.m, stateProtocolViolation, msg)
 	_ = c.w.Flush()
 }
@@ -266,7 +292,7 @@ func parseStartupParams(payload []byte) map[string]string {
 // simpleQuery services one 'Q' message: split, execute each statement
 // in order (stopping at the first error, as real servers do), then
 // ReadyForQuery.
-func (c *conn) simpleQuery(base context.Context, sql string) {
+func (c *conn) simpleQuery(sql string) {
 	stmts := splitStatements(sql)
 	if len(stmts) == 0 {
 		_ = writeEmptyQueryResponse(c.w, &c.m)
@@ -274,7 +300,7 @@ func (c *conn) simpleQuery(base context.Context, sql string) {
 		return
 	}
 	for _, s := range stmts {
-		if !c.execStatement(base, s, nil, true) {
+		if !c.execStatement(s, nil, true) {
 			break
 		}
 	}
@@ -327,7 +353,7 @@ func (c *conn) execControl(kw string) bool {
 // framing (RowDescription before rows); the extended protocol
 // describes via Describe and Execute sends rows alone. Returns false
 // after writing an ErrorResponse.
-func (c *conn) execStatement(base context.Context, sql string, args []any, sendRowDesc bool) bool {
+func (c *conn) execStatement(sql string, args []any, sendRowDesc bool) bool {
 	kw := firstKeyword(sql)
 
 	if c.tx == 'E' && kw != "COMMIT" && kw != "END" && kw != "ROLLBACK" && kw != "ABORT" {
@@ -343,9 +369,8 @@ func (c *conn) execStatement(base context.Context, sql string, args []any, sendR
 	if kw == "SELECT" {
 		op = "query"
 	}
-	ctx, done := c.statementCtx(base)
-	resp := c.srv.cfg.Proxy.HandleInCtx(ctx, &proxy.Request{Op: op, SQL: sql, Args: args}, c.sess)
-	done()
+	resp := c.srv.cfg.Proxy.HandleInCtx(c.beginStatement(), &proxy.Request{Op: op, SQL: sql, Args: args}, c.sess)
+	c.endStatement()
 
 	if resp.Blocked {
 		c.failTx()
@@ -398,7 +423,7 @@ func (c *conn) handleParse(p *payloadReader) bool {
 	name, err1 := p.cstr()
 	sql, err2 := p.cstr()
 	nOids, err3 := p.int16()
-	if err1 != nil || err2 != nil || err3 != nil {
+	if err1 != nil || err2 != nil || err3 != nil || nOids < 0 {
 		c.protoError("malformed Parse")
 		return false
 	}
@@ -445,7 +470,7 @@ func (c *conn) handleBind(p *payloadReader) bool {
 	}
 
 	nFmt, err := p.int16()
-	if err != nil {
+	if err != nil || nFmt < 0 {
 		c.protoError("malformed Bind")
 		return false
 	}
@@ -463,7 +488,7 @@ func (c *conn) handleBind(p *payloadReader) bool {
 	}
 
 	nParams, err := p.int16()
-	if err != nil {
+	if err != nil || nParams < 0 {
 		c.protoError("malformed Bind")
 		return false
 	}
@@ -587,7 +612,7 @@ func (c *conn) describeResult(st *prepared) {
 	_ = writeRowDescription(c.w, &c.m, cols)
 }
 
-func (c *conn) handleExecute(base context.Context, p *payloadReader) bool {
+func (c *conn) handleExecute(p *payloadReader) bool {
 	name, err := p.cstr()
 	if err != nil {
 		c.protoError("malformed Execute")
@@ -610,7 +635,7 @@ func (c *conn) handleExecute(base context.Context, p *payloadReader) bool {
 		_ = writeEmptyQueryResponse(c.w, &c.m)
 		return true
 	}
-	return c.execStatement(base, po.stmt.sql, po.args, false)
+	return c.execStatement(po.stmt.sql, po.args, false)
 }
 
 func (c *conn) handleClose(p *payloadReader) bool {

@@ -17,7 +17,7 @@ import (
 	"repro/internal/sqlvalue"
 )
 
-func testProxy(t *testing.T, mode proxy.Mode) *proxy.Server {
+func testProxy(t testing.TB, mode proxy.Mode) *proxy.Server {
 	t.Helper()
 	s, err := schema.NewBuilder().
 		Table("Users").
@@ -104,7 +104,19 @@ func dialPg(t *testing.T, addr string, params map[string]string) *pgConn {
 	return pc
 }
 
-func (pc *pgConn) sendStartup(params map[string]string) {
+func (pc *pgConn) sendStartup(params map[string]string) { pc.write(startupMsg(params)) }
+
+func (pc *pgConn) send(typ byte, payload []byte) { pc.write(frame(typ, payload)) }
+
+func (pc *pgConn) write(b []byte) {
+	if _, err := pc.c.Write(b); err != nil {
+		pc.t.Fatal(err)
+	}
+}
+
+// --- Frontend message builders ---
+
+func startupMsg(params map[string]string) []byte {
 	var body []byte
 	body = binary.BigEndian.AppendUint32(body, protoV3)
 	for k, v := range params {
@@ -112,22 +124,68 @@ func (pc *pgConn) sendStartup(params map[string]string) {
 		body = append(append(body, v...), 0)
 	}
 	body = append(body, 0)
-	var msg []byte
-	msg = binary.BigEndian.AppendUint32(msg, uint32(len(body)+4))
-	msg = append(msg, body...)
-	if _, err := pc.c.Write(msg); err != nil {
-		pc.t.Fatal(err)
-	}
+	msg := binary.BigEndian.AppendUint32(nil, uint32(len(body)+4))
+	return append(msg, body...)
 }
 
-func (pc *pgConn) send(typ byte, payload []byte) {
+// frame wraps a payload as one typed frontend message.
+func frame(typ byte, payload []byte) []byte {
 	msg := make([]byte, 0, len(payload)+5)
 	msg = append(msg, typ)
 	msg = binary.BigEndian.AppendUint32(msg, uint32(len(payload)+4))
-	msg = append(msg, payload...)
-	if _, err := pc.c.Write(msg); err != nil {
-		pc.t.Fatal(err)
+	return append(msg, payload...)
+}
+
+func parseMsg(name, sql string, oids []int32) []byte {
+	var b []byte
+	b = append(append(b, name...), 0)
+	b = append(append(b, sql...), 0)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(oids)))
+	for _, o := range oids {
+		b = binary.BigEndian.AppendUint32(b, uint32(o))
 	}
+	return frame('P', b)
+}
+
+func bindMsg(portal, stmt string, args []string) []byte {
+	var b []byte
+	b = append(append(b, portal...), 0)
+	b = append(append(b, stmt...), 0)
+	b = binary.BigEndian.AppendUint16(b, 0) // all-text param formats
+	b = binary.BigEndian.AppendUint16(b, uint16(len(args)))
+	for _, a := range args {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(a)))
+		b = append(b, a...)
+	}
+	b = binary.BigEndian.AppendUint16(b, 0) // all-text result formats
+	return frame('B', b)
+}
+
+func executeMsg(portal string, maxRows int32) []byte {
+	b := append([]byte(portal), 0)
+	b = binary.BigEndian.AppendUint32(b, uint32(maxRows))
+	return frame('E', b)
+}
+
+var syncMsg = frame('S', nil)
+
+// splitMsgs cuts a backend byte stream into messages, failing on a
+// torn or mis-framed one.
+func splitMsgs(t testing.TB, b []byte) []backendMsg {
+	t.Helper()
+	var out []backendMsg
+	for len(b) > 0 {
+		if len(b) < 5 {
+			t.Fatalf("torn backend header: % x", b)
+		}
+		n := int(binary.BigEndian.Uint32(b[1:5]))
+		if n < 4 || len(b) < 1+n {
+			t.Fatalf("backend message %c: length %d, %d bytes left", b[0], n, len(b)-1)
+		}
+		out = append(out, backendMsg{typ: b[0], payload: b[5 : 1+n]})
+		b = b[1+n:]
+	}
+	return out
 }
 
 func (pc *pgConn) read() backendMsg {
@@ -177,51 +235,27 @@ func (pc *pgConn) parseBindExecute(sql string, args ...string) []backendMsg {
 	return pc.readUntilReady()
 }
 
-func (pc *pgConn) sendParse(name, sql string, oids []int32) {
-	var b []byte
-	b = append(append(b, name...), 0)
-	b = append(append(b, sql...), 0)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(oids)))
-	for _, o := range oids {
-		b = binary.BigEndian.AppendUint32(b, uint32(o))
-	}
-	pc.send('P', b)
-}
+func (pc *pgConn) sendParse(name, sql string, oids []int32) { pc.write(parseMsg(name, sql, oids)) }
 
-func (pc *pgConn) sendBind(portal, stmt string, args []string) {
-	var b []byte
-	b = append(append(b, portal...), 0)
-	b = append(append(b, stmt...), 0)
-	b = binary.BigEndian.AppendUint16(b, 0) // all-text param formats
-	b = binary.BigEndian.AppendUint16(b, uint16(len(args)))
-	for _, a := range args {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(a)))
-		b = append(b, a...)
-	}
-	b = binary.BigEndian.AppendUint16(b, 0) // all-text result formats
-	pc.send('B', b)
-}
+func (pc *pgConn) sendBind(portal, stmt string, args []string) { pc.write(bindMsg(portal, stmt, args)) }
 
 func (pc *pgConn) sendDescribe(kind byte, name string) {
 	b := append([]byte{kind}, name...)
 	pc.send('D', append(b, 0))
 }
 
-func (pc *pgConn) sendExecute(portal string, maxRows int32) {
-	b := append([]byte(portal), 0)
-	b = binary.BigEndian.AppendUint32(b, uint32(maxRows))
-	pc.send('E', b)
-}
+func (pc *pgConn) sendExecute(portal string, maxRows int32) { pc.write(executeMsg(portal, maxRows)) }
 
-func (pc *pgConn) sendSync() { pc.send('S', nil) }
+func (pc *pgConn) sendSync() { pc.write(syncMsg) }
 
-// cancelVia opens a second connection and issues a CancelRequest with
-// this connection's BackendKeyData.
-func (pc *pgConn) cancelVia(addr string) {
-	pc.t.Helper()
+// cancelVia opens a second connection, issues a CancelRequest with
+// this connection's BackendKeyData, and returns once the server has
+// handled it: the server closes a cancel connection without a reply.
+// Safe to call off the test goroutine.
+func (pc *pgConn) cancelVia(addr string) error {
 	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
-		pc.t.Fatal(err)
+		return err
 	}
 	defer c.Close()
 	var b []byte
@@ -230,8 +264,41 @@ func (pc *pgConn) cancelVia(addr string) {
 	b = binary.BigEndian.AppendUint32(b, uint32(pc.pid))
 	b = binary.BigEndian.AppendUint32(b, uint32(pc.secret))
 	if _, err := c.Write(b); err != nil {
-		pc.t.Fatal(err)
+		return err
 	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := c.Read(make([]byte, 1)); err != io.EOF {
+		return fmt.Errorf("cancel connection: read %d bytes, err %v; want EOF", n, err)
+	}
+	return nil
+}
+
+// cancelUntilAnswered cancels the statement pc has in flight and
+// returns its reply. A cancel that lands before the statement starts
+// is a no-op, so it retries until the reply arrives, and it returns
+// only after its last cancel was handled.
+func cancelUntilAnswered(t *testing.T, pc *pgConn, addr string) []backendMsg {
+	t.Helper()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if err := pc.cancelVia(addr); err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	return pc.readUntilReady()
 }
 
 // --- Assertion helpers ---
@@ -540,22 +607,34 @@ func TestCancelRequest(t *testing.T) {
 	addr, _ := listen(t, px, Config{})
 	pc := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
 
+	const cheap = "SELECT EId FROM Attendance WHERE UId = 1"
 	// A 2000^3 cross join with an unsatisfiable filter: never finishes
 	// on its own within the test deadline.
-	pc.send('Q', append([]byte("SELECT a.N FROM Big a, Big b, Big c WHERE a.N + b.N + c.N < 0"), 0))
-	time.Sleep(100 * time.Millisecond) // let the statement get in flight
-	pc.cancelVia(addr)
-	msgs := pc.readUntilReady()
-	wantSQLState(t, msgs, "57014")
+	const endless = "SELECT a.N FROM Big a, Big b, Big c WHERE a.N + b.N + c.N < 0"
 
-	// The connection survives cancellation.
-	wantCommandTag(t, pc.query("SELECT EId FROM Attendance WHERE UId = 1"), "SELECT 1")
+	// A CancelRequest while the connection is idle is a no-op: it must
+	// not abort the next statement.
+	wantCommandTag(t, pc.query(cheap), "SELECT 1")
+	if err := pc.cancelVia(addr); err != nil {
+		t.Fatal(err)
+	}
+	wantCommandTag(t, pc.query(cheap), "SELECT 1")
+
+	// A cancel during a statement aborts it, and the connection
+	// survives; twice, so the context a cancel consumed is replaced.
+	for round := 0; round < 2; round++ {
+		pc.send('Q', append([]byte(endless), 0))
+		wantSQLState(t, cancelUntilAnswered(t, pc, addr), "57014")
+		wantCommandTag(t, pc.query(cheap), "SELECT 1")
+	}
 
 	// A CancelRequest with the wrong secret is ignored.
 	pc2 := dialPg(t, addr, map[string]string{"attr.MyUId": "1"})
 	pc2.secret++
-	pc2.cancelVia(addr)
-	wantCommandTag(t, pc2.query("SELECT EId FROM Attendance WHERE UId = 1"), "SELECT 1")
+	if err := pc2.cancelVia(addr); err != nil {
+		t.Fatal(err)
+	}
+	wantCommandTag(t, pc2.query(cheap), "SELECT 1")
 }
 
 // TestPreparedStatementFrontCacheHit pins the acceptance criterion:

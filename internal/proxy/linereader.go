@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"io"
-	"net"
 )
 
 // errLineTooLong drops a connection whose request line exceeds the
@@ -12,22 +11,26 @@ import (
 // and tests have matched since the bufio.Scanner-based read loop.
 var errLineTooLong = errors.New("request line too long")
 
-// flushConn interposes on the connection's read side: just before any
+// FlushConn interposes on a connection's read side: just before any
 // kernel read — i.e. exactly when the reader has drained every
 // buffered request and is about to block waiting on the client — it
-// flushes responses the inline fast path parked in the write buffer.
-// Responses therefore coalesce across a pipelined burst (K answers,
-// one write syscall) yet are always on the wire before the server
-// waits for the client, so the interposition can never deadlock a
-// request/response client.
-type flushConn struct {
-	c     net.Conn
-	flush func()
+// flushes the responses parked in the write buffer. Responses
+// therefore coalesce across a pipelined burst (K answers, one write
+// syscall) yet are always on the wire before the server waits for the
+// client, so the interposition can never deadlock a request/response
+// client. A failed flush fails the read, so the connection drops the
+// same way a broken read drops it. Both ingresses (v2 here, pgwire)
+// read through it.
+type FlushConn struct {
+	Conn  io.Reader
+	Flush func() error
 }
 
-func (f flushConn) Read(p []byte) (int, error) {
-	f.flush()
-	return f.c.Read(p)
+func (f FlushConn) Read(p []byte) (int, error) {
+	if err := f.Flush(); err != nil {
+		return 0, err
+	}
+	return f.Conn.Read(p)
 }
 
 // lineReader yields newline-delimited request lines with a hard length

@@ -577,7 +577,7 @@ type pipeConn struct {
 	scratch []byte
 	// dirty marks responses encoded into bw by the inline fast path but
 	// not yet flushed. The reader flushes them (flushPending) just
-	// before it would block on the kernel read — see flushConn — so a
+	// before it would block on the kernel read — see FlushConn — so a
 	// pipelined burst of K inline answers costs one write syscall.
 	// Guarded by writeMu.
 	dirty bool
@@ -639,7 +639,7 @@ func (pc *pipeConn) write(resp *Response) error {
 
 // sendInline encodes one response into the buffered writer WITHOUT
 // flushing, marking the connection dirty; the flush happens when the
-// reader is about to block (flushConn → flushPending) or when the
+// reader is about to block (FlushConn → flushPending) or when the
 // coalescing writer next flushes a lane response. Encode errors mean
 // the connection is dying; the read side surfaces the drop, same
 // policy as runWriter.
@@ -654,13 +654,15 @@ func (pc *pipeConn) sendInline(resp *Response) {
 // flushPending flushes inline responses parked in the buffered writer,
 // if any. Called by the reader just before it would block on the
 // kernel read, so a client waiting for its answer always gets it
-// before the server waits for the client.
-func (pc *pipeConn) flushPending() {
+// before the server waits for the client. Its error fails that read.
+func (pc *pipeConn) flushPending() error {
+	var err error
 	pc.writeMu.Lock()
 	if pc.dirty {
-		_ = pc.flush()
+		err = pc.flush()
 	}
 	pc.writeMu.Unlock()
+	return err
 }
 
 // startWriter begins coalesced (v2) output: responses queue on out
@@ -862,7 +864,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// The reader interposes flushPending before every kernel read, so
 	// inline-fastpath responses parked in the write buffer always reach
 	// the wire before the server blocks waiting for the client.
-	lr := newLineReader(flushConn{c: conn, flush: pc.flushPending}, s.maxLineBytes())
+	lr := newLineReader(FlushConn{Conn: conn, Flush: pc.flushPending}, s.maxLineBytes())
 
 	v2 := false
 	var readErr error
