@@ -38,7 +38,7 @@ bench:
 # -against diffs the fresh document's pinned hotpath numbers against
 # the previous one and fails on a >10% speedup regression.
 bench-json:
-	$(GO) run ./cmd/acbench -json BENCH_10.json -against BENCH_9.json
+	$(GO) run ./cmd/acbench -json BENCH_11.json -against BENCH_10.json
 
 hotpath:
 	$(GO) run ./cmd/acbench -hotpath
@@ -88,15 +88,13 @@ ingress:
 
 # Full saturation-knee search: stepped open-loop ramp per ingress,
 # binary-searching the highest offered QPS whose p99 stays under the
-# SLO (default 5ms), with per-step CPU attribution. -sat-ablate
-# reverts the ceiling lifts for a before/after pair; see README
-# "Finding the ceiling".
+# SLO (default 5ms); see README "Finding the ceiling".
 saturate:
 	$(GO) run ./cmd/acbench -saturate
 
 # Seconds-long bounded saturate smoke for CI: a real knee search on
-# the v2 ingress with a tight wall-clock budget, gating that the ramp,
-# the step classifier, and the in-process profiler run end to end.
+# the v2 ingress with a tight wall-clock budget, gating that the ramp
+# and the step classifier run end to end.
 satsmoke:
 	$(GO) run ./cmd/acbench -saturate -sat-ingress v2 -sat-budget 5s -sat-step 1s
 

@@ -152,10 +152,15 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu   sync.Mutex // guards the active segment file
+	mu   sync.Mutex // guards the active segment file and failed
 	f    *os.File
 	idx  uint64 // active segment index
 	size int64
+	// failed is the first write, rotation or fsync error. It is
+	// sticky: after a failed fsync the kernel may drop the dirty pages
+	// and report the next fsync as a success, so the log stops
+	// acknowledging appends rather than lose them silently.
+	failed error
 
 	reqs   chan commitReq
 	quit   chan struct{}
@@ -283,25 +288,31 @@ func (l *Log) Stats() Stats {
 }
 
 // rotateLocked closes the active segment (if any) and starts the
-// next. Callers hold l.mu or are in single-threaded setup.
+// next. Callers hold l.mu or are in single-threaded setup. Any error
+// fails the log.
 func (l *Log) rotateLocked() error {
+	if l.failed != nil {
+		return l.failed
+	}
 	if l.f != nil {
 		if l.opts.Fsync != FsyncOff {
-			_ = l.f.Sync()
+			if err := l.f.Sync(); err != nil {
+				return l.failLocked(err)
+			}
 		}
 		if err := l.f.Close(); err != nil {
-			return err
+			return l.failLocked(err)
 		}
 		l.rotations.Add(1)
 	}
 	l.idx++
 	f, err := os.OpenFile(filepath.Join(l.dir, segName(l.idx)), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
-		return err
+		return l.failLocked(err)
 	}
 	if err := writeFileHeader(f, segMagic); err != nil {
 		f.Close()
-		return err
+		return l.failLocked(err)
 	}
 	l.f = f
 	l.size = headerSize
@@ -425,28 +436,35 @@ func (l *Log) runCommitter() {
 		}
 		lastBatch = len(batch)
 		err := l.commit(buf)
-		for _, r := range batch {
-			r.done <- err
-		}
+		// Count before acknowledging, so Stats read after an Append
+		// returns already includes it.
 		l.batches.Add(1)
 		l.mBatchRecords.Observe(int64(len(batch)))
 		l.appends.Add(int64(len(batch)))
 		l.mAppends.Add(int64(len(batch)))
+		for _, r := range batch {
+			r.done <- err
+		}
 	}
 }
 
 // commit writes one batch to the active segment, rotating first when
-// it would overflow, and fsyncs per policy.
+// it would overflow, and fsyncs per policy. A failed log refuses the
+// batch.
 func (l *Log) commit(buf []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.failed != nil {
+		return l.failed
+	}
 	if l.size > headerSize && l.size+int64(len(buf)) > l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
 	}
 	if _, err := l.f.Write(buf); err != nil {
-		return err
+		// A torn record would hide every later one from recovery.
+		return l.failLocked(err)
 	}
 	l.size += int64(len(buf))
 	l.appendedBytes.Add(int64(len(buf)))
@@ -460,13 +478,29 @@ func (l *Log) commit(buf []byte) error {
 }
 
 func (l *Log) syncLocked() error {
+	if l.failed != nil {
+		return l.failed
+	}
 	start := time.Now()
 	err := l.f.Sync()
 	l.fsyncs.Add(1)
 	l.mFsyncs.Inc()
 	l.mFsyncMicros.ObserveSince(start)
+	if err != nil {
+		// dirty stays set: the written bytes never became durable.
+		return l.failLocked(err)
+	}
 	l.dirty.Store(false)
-	return err
+	return nil
+}
+
+// failLocked records err as the log's sticky failure unless one is
+// already recorded, and returns the recorded one.
+func (l *Log) failLocked(err error) error {
+	if l.failed == nil {
+		l.failed = fmt.Errorf("durable: log failed: %w", err)
+	}
+	return l.failed
 }
 
 // runIntervalSync fsyncs dirty segments on the configured period.
@@ -478,6 +512,8 @@ func (l *Log) runIntervalSync() {
 		select {
 		case <-t.C:
 			if l.dirty.Load() {
+				// A failure is sticky: the next commit or Sync
+				// returns it.
 				l.mu.Lock()
 				_ = l.syncLocked()
 				l.mu.Unlock()
@@ -501,7 +537,8 @@ func (l *Log) Sync() error {
 }
 
 // Close stops the committer, fsyncs, and closes the active segment.
-// Appends racing Close fail with a closed error.
+// Appends racing Close fail with a closed error. Close reports the
+// log's sticky failure, if any.
 func (l *Log) Close() error {
 	if l.closed.Swap(true) {
 		return nil
@@ -513,10 +550,13 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	if l.opts.Fsync != FsyncOff {
-		_ = l.syncLocked()
+	err := l.failed
+	if err == nil && l.opts.Fsync != FsyncOff {
+		err = l.syncLocked()
 	}
-	err := l.f.Close()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
 	l.f = nil
 	return err
 }

@@ -62,11 +62,11 @@ type DB struct {
 	schema *schema.Schema
 	tables map[string]*tableData
 
-	// DisableEqScan turns off the bound equality-scan fast path
-	// (tryEqScan) so the generic evaluator serves every query — the
-	// saturation harness's ablation switch and the parity tests' lever.
-	// Set before serving; it is not synchronized.
-	DisableEqScan bool
+	// noEqScan turns off the bound equality-scan fast path (tryEqScan)
+	// so the generic evaluator serves every query: the reference oracle
+	// of the eq-scan parity tests. Never set outside them; it is not
+	// synchronized.
+	noEqScan bool
 
 	// obs holds the optional scan instruments (SetMetrics); an atomic
 	// pointer so installing metrics never races with running queries.

@@ -6,13 +6,13 @@ import (
 )
 
 // TestEqScanParity pins the bound equality-scan fast path to the
-// generic evaluator: every query runs twice (fast path on, then
-// ablated via DisableEqScan) and the rendered results must match
-// byte-for-byte — columns, rows, row order. The list mixes shapes the
-// fast path serves (single table, AND-of-comparisons, plain
-// projection) with shapes that must fall back (joins, aggregates,
-// subqueries, ORDER BY, DISTINCT, qualified stars), so it also guards
-// against the fast path claiming a query it cannot serve.
+// generic evaluator: every query runs twice (fast path on, then off
+// via noEqScan) and the rendered results must match byte-for-byte —
+// columns, rows, row order. The list mixes shapes the fast path
+// serves (single table, AND-of-comparisons, plain projection) with
+// shapes that must fall back (joins, aggregates, subqueries, ORDER BY,
+// DISTINCT, qualified stars), so it also guards against the fast path
+// claiming a query it cannot serve.
 func TestEqScanParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db := randSeededDB(t, rng, 30)
@@ -46,11 +46,11 @@ func TestEqScanParity(t *testing.T) {
 		"SELECT Title FROM Events WHERE Notes IS NULL AND EId < 8",
 	}
 	for _, q := range queries {
-		db.DisableEqScan = false
+		db.noEqScan = false
 		fast := mustQuery(t, db, q)
-		db.DisableEqScan = true
+		db.noEqScan = true
 		generic := mustQuery(t, db, q)
-		db.DisableEqScan = false
+		db.noEqScan = false
 		if fast.String() != generic.String() {
 			t.Errorf("eq-scan parity broken for %q:\nfast path:\n%s\ngeneric:\n%s", q, fast, generic)
 		}
@@ -83,11 +83,11 @@ func TestEqScanRandomizedParity(t *testing.T) {
 				q += col + " " + op + " " + itoa(lit)
 			}
 		}
-		db.DisableEqScan = false
+		db.noEqScan = false
 		fast := mustQuery(t, db, q)
-		db.DisableEqScan = true
+		db.noEqScan = true
 		generic := mustQuery(t, db, q)
-		db.DisableEqScan = false
+		db.noEqScan = false
 		if fast.String() != generic.String() {
 			t.Fatalf("randomized parity broken for %q:\nfast path:\n%s\ngeneric:\n%s", q, fast, generic)
 		}

@@ -243,7 +243,7 @@ func (ev *evaluator) execSingleSelect(sel *sqlparser.SelectStmt, parent *env) (*
 	// per-row env allocation and name resolution as the serving
 	// ceiling; this path removes both without changing semantics
 	// (ineligible shapes fall through untouched).
-	if !ev.db.DisableEqScan {
+	if !ev.db.noEqScan {
 		if res, ok, err := ev.tryEqScan(sel); err != nil {
 			return nil, err
 		} else if ok {

@@ -155,7 +155,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					return
 				}
 				intended := start.Add(cfg.Schedule.Offsets[i])
-				if wait := time.Until(intended); wait > 0 {
+				sent := time.Now()
+				if wait := intended.Sub(sent); wait > 0 {
 					timer := time.NewTimer(wait)
 					select {
 					case <-timer.C:
@@ -163,10 +164,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 						timer.Stop()
 						return
 					}
-				} else if late := -wait; late > 0 {
+					// Timer oversleep is generator lateness too.
+					sent = time.Now()
+				}
+				if late := int64(sent.Sub(intended)); late > 0 {
 					for {
 						cur := lateness.Load()
-						if int64(late) <= cur || lateness.CompareAndSwap(cur, int64(late)) {
+						if late <= cur || lateness.CompareAndSwap(cur, late) {
 							break
 						}
 					}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -116,6 +118,75 @@ func TestRunStallAccounting(t *testing.T) {
 	if res.MaxLateness < service {
 		t.Errorf("max lateness %v: the generator demonstrably fell behind, it must say so", res.MaxLateness)
 	}
+}
+
+// TestRunLatenessCoversOversleep: an operation that waited for its
+// timer and woke late was sent late, and MaxLateness must say so. One
+// P shared with busy goroutines makes each timer wake-up wait for a
+// preemption; the ops are spaced far enough apart that none is already
+// late before its wait, so only a stamp taken after the wait sees the
+// delay. The target records its own call instants, and MaxLateness
+// must cover the largest send delay it observed.
+func TestRunLatenessCoversOversleep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const (
+		n   = 12
+		gap = 25 * time.Millisecond
+	)
+	s := &Schedule{Offsets: make([]time.Duration, n), Session: make([]int, n), QPS: float64(time.Second / gap)}
+	for i := range s.Offsets {
+		s.Offsets[i] = time.Duration(i) * gap
+	}
+	stop := make(chan struct{})
+	var spinners sync.WaitGroup
+	defer func() {
+		close(stop)
+		spinners.Wait()
+	}()
+	calls := make([]time.Time, n)
+	res, err := Run(context.Background(), Config{
+		Target: TargetFunc(func(ctx context.Context, op Op) error {
+			calls[op.Seq] = time.Now()
+			if op.Seq == 0 {
+				// Op 0 is due at the run's start and went out on time;
+				// from here on the P is contended.
+				for i := 0; i < 2; i++ {
+					spinners.Add(1)
+					go func() {
+						defer spinners.Done()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+						}
+					}()
+				}
+			}
+			return nil
+		}),
+		Schedule: s,
+		Workers:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Op 0's call instant bounds the run's start from above, so delays
+	// measured from it never exceed the true ones.
+	var worst time.Duration
+	for i := 1; i < n; i++ {
+		if d := calls[i].Sub(calls[0].Add(s.Offsets[i])); d > worst {
+			worst = d
+		}
+	}
+	// The send stamp precedes the target's own clock read by a few
+	// instructions.
+	const slack = time.Millisecond
+	if res.MaxLateness+slack < worst {
+		t.Errorf("MaxLateness %v, but the target saw a send %v late", res.MaxLateness, worst)
+	}
+	t.Logf("worst observed send delay %v, MaxLateness %v", worst, res.MaxLateness)
 }
 
 // TestRunKeepsPace: with enough workers and a fast target the runner

@@ -89,15 +89,6 @@ type Server struct {
 	// only forgets facts, so windowed decisions are sound, merely more
 	// conservative.
 	HistoryWindow int
-	// DisableInlineFast turns off the v2 inline fast path (executing a
-	// warm-tier query on the read goroutine when its lane is idle) and
-	// forces every request through the queue/runner handoff. Ablation
-	// knob for acbench -saturate; the default (false) is production.
-	DisableInlineFast bool
-	// DisableEncodePooling turns off Response pooling on the v2 path
-	// (every lane response heap-allocates, the pre-PR-9 behaviour).
-	// Ablation knob paired with DisableInlineFast.
-	DisableEncodePooling bool
 	// Cluster, when set, routes durable sessions across an enforcement
 	// cluster (cluster.go, internal/cluster): hellos for sessions owned
 	// by a peer are forwarded there, and cluster.* control ops dispatch
@@ -681,13 +672,10 @@ func (pc *pipeConn) send(resp *Response) {
 
 func (pc *pipeConn) runWriter() {
 	defer close(pc.wdone)
-	pooled := !pc.s.DisableEncodePooling
 	for resp := range pc.out {
 		pc.writeMu.Lock()
 		err := pc.encodeResp(resp)
-		if pooled {
-			releaseResponse(resp)
-		}
+		releaseResponse(resp)
 		yielded := false
 	drain:
 		for err == nil {
@@ -697,9 +685,7 @@ func (pc *pipeConn) runWriter() {
 					break drain
 				}
 				err = pc.encodeResp(more)
-				if pooled {
-					releaseResponse(more)
-				}
+				releaseResponse(more)
 			default:
 				// Before paying a write syscall for a short batch,
 				// yield once: lanes that are about to produce more
@@ -768,7 +754,6 @@ func (pc *pipeConn) enqueue(ln *lane, job pipeJob) {
 // guards the queue.
 func (pc *pipeConn) runLane(ln *lane) {
 	defer pc.wg.Done()
-	pooled := !pc.s.DisableEncodePooling
 	for {
 		job, ok := ln.pop()
 		if !ok {
@@ -777,12 +762,7 @@ func (pc *pipeConn) runLane(ln *lane) {
 		// Pooled response: HandleCtx's value result is copied into a
 		// recycled struct (the writer releases it after encoding), so a
 		// warm request costs zero response-object allocations.
-		var resp *Response
-		if pooled {
-			resp = acquireResponse()
-		} else {
-			resp = new(Response)
-		}
+		resp := acquireResponse()
 		*resp = pc.s.HandleCtx(job.ctx, job.req, ln.sess)
 		job.done()
 		pc.s.accumulateFactStats(ln.sess)
@@ -987,7 +967,7 @@ func (s *Server) dispatchV2(pc *pipeConn, req *Request) {
 // enforcement off, all take the general path: those features need the
 // full handleQuery/dualDecide plumbing.
 func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
-	if s.DisableInlineFast || req.TimeoutMillis != 0 || s.SlowLogThreshold > 0 ||
+	if req.TimeoutMillis != 0 || s.SlowLogThreshold > 0 ||
 		s.Mode == Off || s.Checker == nil || s.Checker.ShadowStaged() {
 		return false
 	}
@@ -1021,13 +1001,7 @@ func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
 	}
 	start := time.Now()
 	s.mQueries.Inc()
-	pooled := !s.DisableEncodePooling
-	var resp *Response
-	if pooled {
-		resp = acquireResponse()
-	} else {
-		resp = new(Response)
-	}
+	resp := acquireResponse()
 	*resp = s.finishQuery(pc.ctx, req, ln.sess, sel, args, d)
 	s.mQueryLat.Observe(time.Since(start).Microseconds())
 	s.accumulateFactStats(ln.sess)
@@ -1036,9 +1010,7 @@ func (s *Server) tryInlineQuery(pc *pipeConn, req *Request) bool {
 	ln.releaseClaim()
 	s.mInlineHits.Inc()
 	pc.sendInline(resp)
-	if pooled {
-		releaseResponse(resp)
-	}
+	releaseResponse(resp)
 	return true
 }
 
@@ -1060,7 +1032,6 @@ func releaseRequest(req *Request) {
 // path) fills a pooled struct; the encoder copies its bytes into the
 // connection's buffered writer and releases it — nothing downstream
 // retains the pointer, so the round trip is allocation-free.
-// DisableEncodePooling bypasses the pool for ablation runs.
 var respPool = sync.Pool{New: func() any { return new(Response) }}
 
 func acquireResponse() *Response { return respPool.Get().(*Response) }
